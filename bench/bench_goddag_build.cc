@@ -80,15 +80,15 @@ void BM_BuildEdition_ByHierarchyCount(benchmark::State& state) {
 BENCHMARK(BM_BuildEdition_ByHierarchyCount)->DenseRange(1, 4);
 
 void BM_VirtualHierarchyCycle(benchmark::State& state) {
-  // Add + remove a virtual hierarchy (the analyze-string() substrate) on an
-  // edition of the given size. arg1 toggles incremental leaf maintenance
+  // Add + remove a virtual hierarchy (the analyze-string() substrate) on a
+  // bare clone of an edition of the given size. arg1 toggles incremental leaf maintenance
   // (the E10 ablation: patched splice vs. full partition rebuild).
   mhx::workload::EditionConfig config;
   config.seed = 5;
   config.word_count = state.range(0);
   auto doc = mhx::workload::BuildEditionDocument(config);
   if (!doc.ok()) std::abort();
-  KyGoddag* kg = doc->mutable_goddag();
+  std::unique_ptr<KyGoddag> kg = doc->PinSnapshot()->goddag().Clone();
   kg->set_incremental_leaves(state.range(1) != 0);
   size_t n = kg->base_text().size();
   for (auto _ : state) {
@@ -133,7 +133,7 @@ void BM_LeafPartitionRebuild(benchmark::State& state) {
   config.word_count = state.range(0);
   auto doc = mhx::workload::BuildEditionDocument(config);
   if (!doc.ok()) std::abort();
-  KyGoddag* kg = doc->mutable_goddag();
+  std::unique_ptr<KyGoddag> kg = doc->PinSnapshot()->goddag().Clone();
   kg->set_incremental_leaves(false);
   size_t n = kg->base_text().size();
   for (auto _ : state) {

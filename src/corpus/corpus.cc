@@ -286,10 +286,15 @@ StatusOr<std::shared_ptr<MultihierarchicalDocument>> CorpusService::Resident(
   // a cold (or just-evicted) document either way.
   obs::StageTimer stage(trace, "doc_build");
   std::lock_guard<std::mutex> build_lock(entry->build_mu);
+  return ResidentLocked(entry);
+}
+
+StatusOr<std::shared_ptr<MultihierarchicalDocument>>
+CorpusService::ResidentLocked(Entry* entry) {
   {
     std::lock_guard<std::mutex> lock(lru_mu_);
     if (entry->doc != nullptr) {
-      lru_.splice(lru_.begin(), lru_, entry->lru_it);
+      lru_.splice(lru_.begin(), lru_, entry->lru_it);  // touch
       return entry->doc;
     }
   }
@@ -303,7 +308,7 @@ StatusOr<std::shared_ptr<MultihierarchicalDocument>> CorpusService::Resident(
     if (mapped.ok()) {
       doc = std::make_shared<MultihierarchicalDocument>(
           MultihierarchicalDocument::FromSnapshot(
-              std::move(mapped->head), std::move(mapped->snapshot)));
+              std::move(mapped->snapshot)));
       mmap_loads_.Add();
     } else if (mapped.status().code() != StatusCode::kNotFound) {
       // Corrupt or unreadable arena (NotFound is just a first touch and
@@ -442,13 +447,15 @@ StatusOr<uint64_t> CorpusService::MutateDocument(
     return admitted;
   }
   AdmissionTicket ticket(entry->write_admission.get());
+  // Hold build_mu from residency through Commit: the LRU may evict `doc`
+  // meanwhile (the pin keeps it alive), and a re-admission must then wait
+  // for the commit and load its arena — not the one before it, which
+  // would silently drop this acknowledged version. Without spill the
+  // committed version dies with the evicted instance (the header's
+  // durability caveat).
+  std::lock_guard<std::mutex> build_lock(entry->build_mu);
   MHX_ASSIGN_OR_RETURN(std::shared_ptr<MultihierarchicalDocument> doc,
-                       Resident(entry));
-  // The pin (`doc`) keeps the instance alive through Commit even if the
-  // LRU evicts it meanwhile. Without spill the committed version dies with
-  // the instance (the header's durability caveat); with spill the commit
-  // persists the new version's arena before publishing, so a post-eviction
-  // reload resumes from it.
+                       ResidentLocked(entry));
   MultihierarchicalDocument::Writer writer = doc->NewWriter();
   configure(writer);
   if (!entry->spill_path.empty()) {

@@ -12,11 +12,16 @@
 // Locking, outermost first:
 //   shard.mu     name -> entry lookup; entries are never erased, so an
 //                Entry* is stable once found.
-//   entry.build_mu  serialises builds of one document; concurrent callers
-//                of a cold document wait here while exactly one builds.
+//   entry.build_mu  serialises builds and commits of one document:
+//                concurrent callers of a cold document wait here while
+//                exactly one builds, and a write holds it from residency
+//                through Writer::Commit, so a re-admission after an
+//                eviction mid-commit loads the committed version.
 //   lru_mu_      residency pointers + the LRU list + build/eviction
 //                counters. Eviction happens entirely under lru_mu_ and
 //                never takes a victim's build_mu, so the order is acyclic.
+//   A commit then takes the document's own locks: build_mu -> writer_mu_
+//   -> snapshot_mu_ (document.h).
 //
 // Eviction vs. in-flight queries: a query pins its document with a
 // shared_ptr before evaluating, so evicting the entry (dropping the
@@ -104,8 +109,8 @@ struct CorpusOptions {
   // Heavy queries allowed to wait for a slot before ResourceExhausted.
   size_t heavy_queue_limit = 16;
   // Concurrent Writer commits admitted per document; 0 rejects all writes.
-  // Commits serialise on the document's writer mutex anyway, so >1 only
-  // moves the wait from admission to that mutex.
+  // Writes to one document serialise on its build mutex anyway (see the
+  // lock order above), so >1 only moves the wait from admission there.
   size_t max_writers_in_flight = 1;
   // Writes allowed to wait for a per-document slot before
   // ResourceExhausted.
@@ -211,7 +216,8 @@ class CorpusService {
   // unregistered name; parse errors surface before any document is built;
   // ResourceExhausted is admission backpressure. Thread-safety class:
   // pinned-snapshot read (CONCURRENCY.md) — never blocked by commits;
-  // heavy queries may wait in admission, cold documents in the build.
+  // heavy queries may wait in admission, cold documents behind their
+  // build or a commit in flight on them.
   StatusOr<std::string> Query(std::string_view doc_name,
                               std::string_view query,
                               const QueryOptions& options = {});
@@ -219,7 +225,7 @@ class CorpusService {
   // Pins the named document resident (building it if needed) and returns
   // the pin. The document stays alive while the caller holds it, even
   // across eviction; holding a pin does not block eviction. Thread-safe;
-  // blocks only while a cold document builds.
+  // blocks only while a cold document builds (or waits out a commit).
   StatusOr<std::shared_ptr<const MultihierarchicalDocument>> Pin(
       std::string_view doc_name);
 
@@ -231,7 +237,7 @@ class CorpusService {
   // is write-admission backpressure; any Writer::Commit error (name
   // collision, bad ranges) aborts with nothing published. Thread-safety
   // class: writer-path (CONCURRENCY.md) — waits only in write admission
-  // and behind other committing writers of the same document.
+  // and behind builds and other commits of the same document.
   StatusOr<uint64_t> CommitVirtualHierarchy(
       std::string_view doc_name, std::string hierarchy_name,
       std::vector<goddag::VirtualElement> elements);
@@ -276,7 +282,7 @@ class CorpusService {
     // Arena spill file for this document (sanitised name + hash under
     // spill_dir), computed at Register; empty when spill is disabled.
     std::string spill_path;
-    std::mutex build_mu;  // serialises BuildEditionDocument for this entry
+    std::mutex build_mu;  // serialises builds and commits of this entry
     // Per-document write admission (see CorpusOptions); created at
     // Register, so it survives eviction along with the entry.
     std::unique_ptr<AdmissionController> write_admission;
@@ -297,14 +303,17 @@ class CorpusService {
   // `trace` gets a "doc_build" stage span when this call actually builds.
   StatusOr<std::shared_ptr<MultihierarchicalDocument>> Resident(
       Entry* entry, obs::QueryTrace* trace = nullptr);
+  // Resident() for a caller already holding entry->build_mu.
+  StatusOr<std::shared_ptr<MultihierarchicalDocument>> ResidentLocked(
+      Entry* entry);
   // Query() with the resolved trace (caller-attached, service-internal
   // for the slow log, or null).
   StatusOr<std::string> QueryTraced(Entry* entry, std::string_view query,
                                     const QueryOptions& options,
                                     obs::QueryTrace* trace);
-  // Shared write path: resolve the entry, pass write admission, pin the
-  // document resident, let `configure` queue ops on a fresh Writer, and
-  // Commit. Both public mutators land here.
+  // Shared write path: resolve the entry, pass write admission, then under
+  // build_mu pin the document resident, let `configure` queue ops on a
+  // fresh Writer, and Commit. Both public mutators land here.
   StatusOr<uint64_t> MutateDocument(
       std::string_view doc_name,
       const std::function<void(MultihierarchicalDocument::Writer&)>&

@@ -44,28 +44,28 @@ StatusOr<MultihierarchicalDocument> MultihierarchicalDocument::Builder::
     auto hid = goddag->AddHierarchy(name, *parsed);
     if (!hid.ok()) return hid.status();
   }
-  return MultihierarchicalDocument(std::move(goddag));
+  // Version 1; the index stays lazy so Build() cost is unchanged — the
+  // engine's first evaluation builds it once.
+  return MultihierarchicalDocument(goddag::DocumentSnapshot::Create(
+      std::move(goddag), /*version=*/1, /*prebuild_index=*/false));
 }
 
 MultihierarchicalDocument::MultihierarchicalDocument(
-    std::unique_ptr<goddag::KyGoddag> g)
-    : head_(std::move(g)),
-      // Version 1; the index stays lazy so Build() cost is unchanged — the
-      // engine's first evaluation builds it once.
-      current_(goddag::DocumentSnapshot::Create(head_, /*version=*/1,
-                                                /*prebuild_index=*/false)),
+    std::shared_ptr<const goddag::DocumentSnapshot> snapshot)
+    : current_(std::move(snapshot)),
       engine_mu_(std::make_unique<std::mutex>()),
       snapshot_mu_(std::make_unique<std::mutex>()),
       writer_mu_(std::make_unique<std::mutex>()) {}
 
-MultihierarchicalDocument::MultihierarchicalDocument(
-    std::shared_ptr<goddag::KyGoddag> head,
-    std::shared_ptr<const goddag::DocumentSnapshot> snapshot)
-    : head_(std::move(head)),
-      current_(std::move(snapshot)),
-      engine_mu_(std::make_unique<std::mutex>()),
-      snapshot_mu_(std::make_unique<std::mutex>()),
-      writer_mu_(std::make_unique<std::mutex>()) {}
+const goddag::KyGoddag& MultihierarchicalDocument::goddag() const {
+  return PinSnapshot()->goddag();
+}
+
+const std::string& MultihierarchicalDocument::base_text() const {
+  // The pin lives to the end of the full expression, so the goddag cannot
+  // retire under the call; the text itself is shared by every version.
+  return PinSnapshot()->goddag().base_text();
+}
 
 std::shared_ptr<const goddag::DocumentSnapshot>
 MultihierarchicalDocument::PinSnapshot() const {
@@ -204,9 +204,8 @@ StatusOr<uint64_t> MultihierarchicalDocument::Writer::Commit() {
   }
   const uint64_t version = snapshot->version();
   {
-    // The entire epoch swap: two pointer assignments under the pin mutex.
+    // The entire epoch swap: one pointer assignment under the pin mutex.
     std::lock_guard<std::mutex> lock(*doc->snapshot_mu_);
-    doc->head_ = std::move(next);
     doc->current_ = std::move(snapshot);
   }
   return version;

@@ -14,9 +14,9 @@
 //
 // Versioning (the full contract lives in CONCURRENCY.md): the document is a
 // sequence of immutable goddag::DocumentSnapshot versions. Builder::Build
-// publishes version 1; every Writer::Commit clones the head goddag
-// copy-on-write, applies its queued mutations off to the side, prebuilds
-// the RangeIndex, and publishes the successor atomically. Readers
+// publishes version 1; every Writer::Commit clones the current version's
+// goddag copy-on-write, applies its queued mutations off to the side,
+// prebuilds the RangeIndex, and publishes the successor atomically. Readers
 // (Query, the engine) pin the current snapshot for an entire evaluation
 // and never block on a writer; old versions retire when their last pin
 // drops.
@@ -147,18 +147,16 @@ class MultihierarchicalDocument {
   };
 
   // Wraps an already-published snapshot — the mmap cold-start path: the
-  // (head, snapshot) pair comes from goddag::LoadSnapshotFile, whose
-  // snapshot owns the arena mapping and whose head owns all of its bytes.
-  // The document behaves exactly like a Build()-produced one — queries pin
-  // the adopted snapshot (index and stats pre-adopted, nothing rebuilds),
-  // and Writer::Commit clones the head and publishes successors that no
-  // longer reference the mapping. `snapshot` must wrap `head` (same
-  // goddag); single-threaded until the constructor returns, the usual
-  // CONCURRENCY.md rules afterwards.
+  // snapshot comes from goddag::LoadSnapshotFile and owns the arena
+  // mapping; its goddag owns all of its own bytes. The document behaves
+  // exactly like a Build()-produced one — queries pin the adopted snapshot
+  // (index and stats pre-adopted, nothing rebuilds), and Writer::Commit
+  // clones its goddag and publishes successors that no longer reference
+  // the mapping. Single-threaded until it returns, the usual CONCURRENCY.md
+  // rules afterwards.
   static MultihierarchicalDocument FromSnapshot(
-      std::shared_ptr<goddag::KyGoddag> head,
       std::shared_ptr<const goddag::DocumentSnapshot> snapshot) {
-    return MultihierarchicalDocument(std::move(head), std::move(snapshot));
+    return MultihierarchicalDocument(std::move(snapshot));
   }
 
   MultihierarchicalDocument(const MultihierarchicalDocument&) = delete;
@@ -168,8 +166,7 @@ class MultihierarchicalDocument {
   // the move keeps working afterwards. Unsynchronized: moving while any
   // query or writer runs is undefined behaviour.
   MultihierarchicalDocument(MultihierarchicalDocument&& other) noexcept
-      : head_(std::move(other.head_)),
-        current_(std::move(other.current_)),
+      : current_(std::move(other.current_)),
         engine_(std::move(other.engine_)),
         engine_plans_(std::move(other.engine_plans_)),
         engine_pool_(std::move(other.engine_pool_)),
@@ -181,7 +178,6 @@ class MultihierarchicalDocument {
   }
   MultihierarchicalDocument& operator=(
       MultihierarchicalDocument&& other) noexcept {
-    head_ = std::move(other.head_);
     current_ = std::move(other.current_);
     engine_ = std::move(other.engine_);
     engine_plans_ = std::move(other.engine_plans_);
@@ -194,27 +190,21 @@ class MultihierarchicalDocument {
     return *this;
   }
 
-  // The head version's goddag. Thread-safety class: pinned-snapshot read
-  // only in single-threaded or quiesced use — prefer PinSnapshot() when
-  // writers may be committing, because the head pointer moves on commit.
-  const goddag::KyGoddag& goddag() const { return *head_; }
-
-  // Legacy in-place mutation escape hatch (thread-safety class:
-  // unsynchronized). Edits the head version directly, bypassing MVCC:
-  // undefined behaviour while any query or writer runs, and the next query
-  // pays one private index rebuild. New code routes mutations through
-  // NewWriter(); this remains for single-threaded tooling and the E10
-  // ablation benchmarks.
-  goddag::KyGoddag* mutable_goddag() { return head_.get(); }
+  // The current version's goddag. Thread-safety class: pinned-snapshot
+  // read only in single-threaded or quiesced use — the reference dies with
+  // its version once a commit supersedes it and no pin holds it, so prefer
+  // PinSnapshot() when writers may be committing.
+  const goddag::KyGoddag& goddag() const;
 
   // The shared base text. Thread-safe without pinning: every version of
   // the document shares one immutable text by refcounted pointer, so the
-  // reference stays valid and constant across commits.
-  const std::string& base_text() const { return head_->base_text(); }
+  // reference stays valid and constant across commits for the document's
+  // lifetime.
+  const std::string& base_text() const;
 
   // Pins the currently published snapshot: an O(1) shared_ptr copy under
   // the epoch mutex, never blocked by writers (Commit holds this mutex
-  // only for two pointer assignments). The pinned version stays fully
+  // only for one pointer assignment). The pinned version stays fully
   // readable — goddag, leaves, index — for as long as the caller holds it,
   // across any number of later commits. Thread-safe.
   std::shared_ptr<const goddag::DocumentSnapshot> PinSnapshot() const;
@@ -238,8 +228,8 @@ class MultihierarchicalDocument {
   // never block on writers and never mutate the document: temporary
   // virtual hierarchies live in evaluation-scoped overlay namespaces over
   // the pinned snapshot and are dropped when the evaluation returns. See
-  // CONCURRENCY.md for the full contract. Mutating via mutable_goddag()
-  // or moving the document while queries run remains undefined behaviour.
+  // CONCURRENCY.md for the full contract. Moving the document while
+  // queries run remains undefined behaviour.
   StatusOr<std::string> Query(std::string_view query) const;
 
   // As above, with per-query options — QueryOptions{.threads = 4} fans
@@ -268,17 +258,12 @@ class MultihierarchicalDocument {
       std::shared_ptr<xquery::EngineCounters> counters = nullptr) const;
 
  private:
-  explicit MultihierarchicalDocument(std::unique_ptr<goddag::KyGoddag> g);
-  MultihierarchicalDocument(
-      std::shared_ptr<goddag::KyGoddag> head,
+  explicit MultihierarchicalDocument(
       std::shared_ptr<const goddag::DocumentSnapshot> snapshot);
 
-  // KyGoddag, snapshots, and Engine live behind pointers so moving the
-  // document does not invalidate &goddag() or engine() held by evaluators
-  // and benchmarks. head_ aliases current_'s goddag (mutably, for the
-  // legacy path) and repoints on every Commit.
-  std::shared_ptr<goddag::KyGoddag> head_;
-  // The published snapshot; guarded by snapshot_mu_ (pin = copy, publish =
+  // Snapshots and Engine live behind pointers so moving the document does
+  // not invalidate &goddag() or engine() held by evaluators and
+  // benchmarks. The published snapshot; guarded by snapshot_mu_ (pin = copy, publish =
   // assign — the entire epoch-swap critical section).
   std::shared_ptr<const goddag::DocumentSnapshot> current_;
   mutable std::unique_ptr<xquery::Engine> engine_;

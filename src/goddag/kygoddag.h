@@ -19,10 +19,10 @@
 // rebuild that rescans every node; `set_incremental_leaves` toggles the two
 // so the E10 ablation can measure the difference.
 //
-// Thread-safety: unsynchronized — a KyGoddag is mutated only on the writer
-// path (Builder::Build, Writer::Commit on a private Clone(), or the legacy
-// mutable_goddag() escape hatch) and read concurrently only once published
-// inside an immutable DocumentSnapshot (goddag/snapshot.h, CONCURRENCY.md).
+// Thread-safety: unsynchronized — inside a document a KyGoddag is mutated
+// only on the writer path (Builder::Build, Writer::Commit on a private
+// Clone()) and read concurrently only once published inside an immutable
+// DocumentSnapshot (goddag/snapshot.h, CONCURRENCY.md).
 // Clone() is the MVCC copy-on-write step: the node table, hierarchy table,
 // and leaf partition are copied; the base text is shared (refcounted, never
 // mutated after construction).

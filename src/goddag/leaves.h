@@ -9,10 +9,9 @@
 // `const std::vector<Leaf>&`.
 //
 // Thread-safety: unsynchronized. KyGoddag mutates its partition only on the
-// writer path (document build, MVCC clone-and-commit, or a legacy
-// mutable_goddag() edit) and publishes it to readers via an immutable
-// DocumentSnapshot (goddag/snapshot.h); readers only ever call Flatten() on
-// a partition that is no longer mutated.
+// writer path (document build or MVCC clone-and-commit) and publishes it to
+// readers via an immutable DocumentSnapshot (goddag/snapshot.h); readers
+// only ever call Flatten() on a partition that is no longer mutated.
 
 #ifndef MHX_GODDAG_LEAVES_H_
 #define MHX_GODDAG_LEAVES_H_

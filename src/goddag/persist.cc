@@ -386,10 +386,10 @@ class ArenaLoader {
     MHX_RETURN_IF_ERROR(AdoptStats(goddag.get(), stats.get()));
 
     MappedSnapshot result;
-    result.head = goddag;
-    result.snapshot = DocumentSnapshot::Adopt(
-        goddag, header_.doc_version, std::move(index), std::move(stats),
-        std::move(keepalive));
+    result.snapshot =
+        DocumentSnapshot::Adopt(std::move(goddag), header_.doc_version,
+                                std::move(index), std::move(stats),
+                                std::move(keepalive));
     result.arena_bytes = size_;
     return result;
   }

@@ -14,9 +14,9 @@
 // when the snapshot itself dies — i.e. after the last pin drops. Readers
 // holding a pinned mapped snapshot are safe across document commits,
 // corpus eviction, and even deletion of the underlying file (POSIX keeps
-// the mapping valid after unlink). The returned MappedSnapshot::head
-// goddag owns all of its state, so writers may clone-and-commit from it
-// with the mapping long gone.
+// the mapping valid after unlink). The snapshot's goddag owns all of its
+// own state, so writers may clone-and-commit from it with the mapping long
+// gone.
 //
 // Failure model: every malformed input — truncation, wrong magic or
 // format version, checksum mismatch, out-of-bounds offsets or indices —
@@ -41,12 +41,10 @@
 
 namespace mhx::goddag {
 
-// The result of adopting an arena: a live document head plus its published
-// snapshot. `head` owns every byte it points at (safe to clone/mutate after
-// the mapping is gone); `snapshot` keeps the mapping alive for as long as it
-// is pinned anywhere.
+// The result of adopting an arena: the published snapshot, which keeps the
+// mapping alive for as long as it is pinned anywhere (its goddag owns every
+// byte it points at, so clones outlive the mapping).
 struct MappedSnapshot {
-  std::shared_ptr<KyGoddag> head;
   std::shared_ptr<const DocumentSnapshot> snapshot;
   // Size of the backing arena in bytes (file size for mmap loads).
   size_t arena_bytes = 0;

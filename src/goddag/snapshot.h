@@ -27,10 +27,7 @@
 // its per-engine rebuild accounting exact.
 //
 // Thread-safety: every method is safe to call concurrently after Create
-// returns. The one caveat is the *head* snapshot under the legacy
-// mutable_goddag() escape hatch: an in-place edit mutates the shared goddag
-// behind this snapshot, which is undefined behaviour while any evaluation
-// reads it (see CONCURRENCY.md "legacy mutation path").
+// returns.
 
 #ifndef MHX_GODDAG_SNAPSHOT_H_
 #define MHX_GODDAG_SNAPSHOT_H_
@@ -82,11 +79,6 @@ class DocumentSnapshot {
   // and +1 per Writer::Commit.
   uint64_t version() const { return version_; }
 
-  // The goddag's revision() when this snapshot was published. A live
-  // goddag revision differing from this stamp means the head was edited in
-  // place through the legacy mutable_goddag() path after publication.
-  uint64_t goddag_revision() const { return revision_at_publish_; }
-
   // Builds the RangeIndex if no thread has yet (thread-safe, build-once).
   // Returns true iff THIS call performed the build — the engine's rebuild
   // accounting counts exactly those.
@@ -114,7 +106,6 @@ class DocumentSnapshot {
 
   const std::shared_ptr<const KyGoddag> goddag_;
   const uint64_t version_;
-  const uint64_t revision_at_publish_;
   mutable std::once_flag index_once_;
   mutable std::unique_ptr<const RangeIndex> index_;
   mutable std::once_flag stats_once_;

@@ -145,18 +145,15 @@ AxisEvaluator::AxisEvaluator(const goddag::DocumentSnapshot* snapshot,
     : goddag_(&snapshot->goddag()), snapshot_(snapshot), options_(options) {}
 
 const goddag::RangeIndex& AxisEvaluator::index() const {
-  // Snapshot-bound and unedited since publish: serve the snapshot's
-  // build-once index. A writer-prebuilt index costs this evaluator nothing;
-  // a lazily indexed snapshot is built exactly once, and the builder counts
-  // it (EnsureIndex reports whether this call built).
-  if (snapshot_ != nullptr &&
-      goddag_->revision() == snapshot_->goddag_revision()) {
+  // Snapshot-bound: serve the snapshot's build-once index. A
+  // writer-prebuilt index costs this evaluator nothing; a lazily indexed
+  // snapshot is built exactly once, and the builder counts it (EnsureIndex
+  // reports whether this call built).
+  if (snapshot_ != nullptr) {
     if (snapshot_->EnsureIndex()) ++index_rebuild_count_;
     return snapshot_->index();
   }
-  // Bare-goddag evaluators, and the legacy escape hatch: mutable_goddag()
-  // edited the head in place past the snapshot stamp, so rebuild privately
-  // against the live revision.
+  // Bare goddag: rebuild privately whenever its revision moved.
   if (index_ == nullptr || index_->revision() != goddag_->revision()) {
     index_ = std::make_unique<goddag::RangeIndex>(goddag_);
     ++index_rebuild_count_;
@@ -238,14 +235,7 @@ void AxisEvaluator::EvaluateExtendedIndexed(const GNode& context_node,
 }
 
 const goddag::SnapshotStats* AxisEvaluator::StatsOrNull() const {
-  // Same validity rule as index(): the snapshot's build-once stats describe
-  // the published revision; a legacy in-place edit makes them stale, so the
-  // planned paths fall back to unassisted evaluation.
-  if (snapshot_ != nullptr &&
-      goddag_->revision() == snapshot_->goddag_revision()) {
-    return &snapshot_->stats();
-  }
-  return nullptr;
+  return snapshot_ != nullptr ? &snapshot_->stats() : nullptr;
 }
 
 void AxisEvaluator::AppendOverlayMatches(const goddag::OverlayView& view,

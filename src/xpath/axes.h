@@ -29,12 +29,11 @@
 // (index_rebuild_count()).
 //
 // MVCC binding: an evaluator constructed over a goddag::DocumentSnapshot
-// serves index() from the snapshot's build-once RangeIndex — prebuilt by
-// the writer that published the snapshot, so readers repinning after a
-// commit pay zero rebuilds (CONCURRENCY.md). The private rebuild path
-// remains only for the legacy escape hatch: a mutable_goddag() edit bumps
-// the live revision past the snapshot's publish stamp, and index() then
-// rebuilds privately, exactly as the plain-goddag constructor always did.
+// serves index() and the planner statistics from the snapshot's build-once
+// blocks — prebuilt by the writer that published the snapshot, so readers
+// repinning after a commit pay zero rebuilds (CONCURRENCY.md). Only an
+// evaluator over a bare KyGoddag keeps a private, revision-checked index,
+// rebuilt when that goddag is mutated under it.
 
 #ifndef MHX_XPATH_AXES_H_
 #define MHX_XPATH_AXES_H_
@@ -133,11 +132,9 @@ struct AxisOptions {
   // Definition-1 scan. Standard tree axes always walk arcs. Overlay nodes
   // are scanned either way (they are never indexed).
   //
-  // Deprecated for engine traffic: the XQuery engine now chooses per step
-  // via the cost-based planner (xquery/planner.h, QueryOptions::plan_mode)
-  // and calls EvaluatePlanned, which ignores this flag. Kept for direct
-  // AxisEvaluator users — unit tests and the axis benchmarks — that pin
-  // one strategy for a whole evaluator.
+  // The naive-oracle selector for direct AxisEvaluator users (unit tests,
+  // the axis benchmarks); the XQuery engine plans per step instead
+  // (xquery/planner.h) and calls EvaluatePlanned, which ignores it.
   bool use_index = true;
 };
 
@@ -158,10 +155,9 @@ class AxisEvaluator {
                          AxisOptions options = AxisOptions());
 
   // Binds the evaluator to a pinned MVCC snapshot: navigation reads the
-  // snapshot's goddag, and index() serves the snapshot's build-once index
-  // as long as the goddag revision still matches the publish stamp (see
-  // index() for the legacy-mutation fallback). `snapshot` must outlive the
-  // evaluator — the XQuery engine pairs the two in one pinned entry.
+  // snapshot's goddag, and index() serves the snapshot's build-once index.
+  // `snapshot` must outlive the evaluator — the XQuery engine pairs the two
+  // in one pinned entry.
   explicit AxisEvaluator(const goddag::DocumentSnapshot* snapshot,
                          AxisOptions options = AxisOptions());
 
@@ -233,16 +229,14 @@ class AxisEvaluator {
 
   const AxisOptions& options() const { return options_; }
 
-  // The index backing indexed mode, revision-checked against the *base*
-  // document only (overlay churn never invalidates it). Snapshot-bound
-  // evaluators serve the snapshot's build-once index — writer-prebuilt
-  // snapshots cost this evaluator zero rebuilds; a lazily indexed snapshot
-  // (the Build()-time initial version) is built exactly once here. The
-  // private rebuild path runs only when a legacy mutable_goddag() edit has
-  // pushed the live revision past the snapshot stamp (or for evaluators
-  // constructed over a bare KyGoddag). Once materialised (the XQuery
-  // engine forces this before evaluation) concurrent readers never trigger
-  // a rebuild.
+  // The index backing indexed mode, over the *base* document only (overlay
+  // churn never invalidates it). Snapshot-bound evaluators serve the
+  // snapshot's build-once index — writer-prebuilt snapshots cost this
+  // evaluator zero rebuilds; a lazily indexed snapshot (the Build()-time
+  // initial version) is built exactly once. Evaluators over a bare
+  // KyGoddag keep a private index, rebuilt whenever the goddag's revision
+  // moves. Once materialised (the XQuery engine forces this before
+  // evaluation) concurrent readers never trigger a rebuild.
   const goddag::RangeIndex& index() const;
 
   // Number of RangeIndex constructions this evaluator has paid for — the
@@ -272,8 +266,7 @@ class AxisEvaluator {
                                const goddag::ProbeFilter& filter,
                                std::vector<goddag::NodeId>* out) const;
   // The snapshot's statistics block (kernel scan surface + pushdown keys),
-  // or null when this evaluator is not snapshot-bound or a legacy
-  // mutable_goddag() edit has invalidated the snapshot.
+  // or null when this evaluator is not snapshot-bound.
   const goddag::SnapshotStats* StatsOrNull() const;
   // The base-table half of a planned extended-axis evaluation: indexed
   // probe or (vectorized) scan per `exec`, pushdown folded in. Returns

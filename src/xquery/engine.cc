@@ -907,8 +907,8 @@ class Evaluator {
       // only then merged. Every producer declares an xpath::Ordering for its
       // run; the declared guarantee replaces the former unconditional
       // sort+dedup with the cheapest sufficient fix-up — nothing, a linear
-      // dedup, or (across runs) a linear k-way merge. QueryOptions::
-      // force_step_sort restores brute force so tests can pin equivalence.
+      // dedup, or (across runs) a linear k-way merge. PlanMode::kForceSort
+      // restores brute force so tests can pin equivalence.
       std::vector<Sequence> runs;
       runs.reserve(current.size());
       for (const Item& item : current) {
@@ -916,7 +916,7 @@ class Evaluator {
         xpath::Ordering ordering = xpath::Ordering::kUnordered;
         MHX_RETURN_IF_ERROR(
             EvalStep(item, step, path.offset, &from_item, &ordering));
-        if (options_->force_step_sort) {
+        if (force_sort()) {
           SortAndDedup(&from_item);
         } else {
           switch (ordering) {
@@ -952,14 +952,14 @@ class Evaluator {
                runs.end());
     if (runs.empty()) return {};
     if (runs.size() == 1) {
-      if (options_->force_step_sort) {
+      if (force_sort()) {
         SortAndDedup(&runs.front());
       } else {
         NoteSortSkipped(runs.front());
       }
       return std::move(runs.front());
     }
-    if (options_->force_step_sort) {
+    if (force_sort()) {
       Sequence merged;
       for (Sequence& run : runs) {
         std::move(run.begin(), run.end(), std::back_inserter(merged));
@@ -991,6 +991,11 @@ class Evaluator {
     DedupSorted(&merged);
     NoteSortSkipped(merged);
     return merged;
+  }
+
+  // PlanMode::kForceSort: the brute-force re-sort+dedup after every step.
+  bool force_sort() const {
+    return options_->plan_mode == PlanMode::kForceSort;
   }
 
   // Counts a skipped sort+dedup pass. Singletons and empty sequences do not
@@ -1054,7 +1059,7 @@ class Evaluator {
       // vectorized scan, name test pushed into either — except under
       // kForceSort, which keeps the legacy brute-force path verbatim as
       // the byte-identity baseline.
-      if (xpath::IsExtendedAxis(step.axis) && !options_->force_step_sort) {
+      if (xpath::IsExtendedAxis(step.axis) && !force_sort()) {
         const xpath::StepExec exec = StepExecFor(step);
         ids = axes_.EvaluatePlanned(*view_, item.node, step.axis, test, exec);
         NotePlannedStep(exec, test);
@@ -1156,7 +1161,7 @@ class Evaluator {
                                        std::string(xpath::AxisName(axis)) +
                                        " cannot start from a leaf");
     }
-    if (options_->force_step_sort) {
+    if (force_sort()) {
       *ids = axes_.EvaluateRange(*view_, range, extended);
       ids->erase(std::remove_if(ids->begin(), ids->end(),
                                 [&](goddag::NodeId id) {
@@ -1575,44 +1580,28 @@ std::shared_ptr<const Engine::SnapshotAxes> Engine::PinAxes() {
   if (axes_entry_ == nullptr || axes_entry_->snapshot != snap) {
     // The published version moved (or this is the first evaluation): bind
     // a fresh evaluator to the new snapshot. The superseded entry stays
-    // alive in whatever evaluations still hold it; its rebuild tally is
-    // carried over so index_rebuild_count() stays monotonic per engine.
-    if (axes_entry_ != nullptr) {
-      retired_rebuilds_ += axes_entry_->axes.index_rebuild_count();
-    }
+    // alive in whatever evaluations still hold it.
     axes_entry_ = std::make_shared<SnapshotAxes>(std::move(snap));
   }
-  // Materialise the leaf partition and RangeIndex before any evaluation
-  // can reach them: evaluation never mutates the snapshot (temporaries
-  // live in overlays), so after this both are plain reads for any number
-  // of concurrent evaluations. Writer-prebuilt snapshots make both no-ops;
-  // the lazily indexed initial version builds here once, and a legacy
-  // mutable_goddag() edit (revision moved past the snapshot stamp)
-  // re-materialises here, once per edit.
-  axes_entry_->snapshot->goddag().leaves();
-  axes_entry_->axes.index();
-  // Statistics follow the same build-once discipline as the index:
-  // writer-prebuilt snapshots arrive with them, the initial version builds
-  // them here exactly once, and afterwards the planner and the scan
-  // kernels read them lock-free.
-  axes_entry_->snapshot->EnsureStats();
-  // Fold new AxisEvaluator rebuilds into the shared counter as a delta, so
-  // the registry total is monotonic across engines sharing one
-  // EngineCounters (index_rebuild_count() stays per-engine).
-  const size_t rebuilds =
-      retired_rebuilds_ + axes_entry_->axes.index_rebuild_count();
-  if (rebuilds > reported_rebuilds_) {
-    counters_->index_rebuilds.Add(rebuilds - reported_rebuilds_);
-    reported_rebuilds_ = rebuilds;
+  // Materialise the RangeIndex and statistics before any evaluation can
+  // reach them (the leaf partition already is, by publication): evaluation
+  // never mutates the snapshot (temporaries live in overlays), so after
+  // this both are plain reads for any number of concurrent evaluations,
+  // the planner and the scan kernels included. Writer-prebuilt and mapped
+  // snapshots make these no-ops; the lazily indexed initial version builds
+  // here exactly once, and only that build counts as this engine's rebuild.
+  const goddag::DocumentSnapshot& pinned = *axes_entry_->snapshot;
+  if (pinned.EnsureIndex()) {
+    ++index_rebuilds_;
+    counters_->index_rebuilds.Add();
   }
+  pinned.EnsureStats();
   return axes_entry_;
 }
 
 size_t Engine::index_rebuild_count() const {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  return retired_rebuilds_ + (axes_entry_ == nullptr
-                                  ? 0
-                                  : axes_entry_->axes.index_rebuild_count());
+  return index_rebuilds_;
 }
 
 size_t Engine::temporary_hierarchy_count() const {
@@ -1663,14 +1652,6 @@ StatusOr<Engine::EvaluationOutput> Engine::EvaluateInternal(
   // slot sizing) on one code path with identical plans and counters.
   QueryOptions normalized = options;
   if (normalized.threads == 0) normalized.threads = 1;
-  // The deprecated force_step_sort flag and PlanMode::kForceSort are one
-  // mode: normalise both directions so every later decision reads either
-  // field and sees the same answer.
-  if (normalized.force_step_sort) {
-    normalized.plan_mode = PlanMode::kForceSort;
-  } else if (normalized.plan_mode == PlanMode::kForceSort) {
-    normalized.force_step_sort = true;
-  }
   base::ThreadPool* fan_out_pool = pool(normalized.threads);
   std::shared_ptr<const SnapshotAxes> pinned;
   std::shared_ptr<const QueryPlan> plan;

@@ -25,9 +25,9 @@
 // steps read "base index + overlay scan" uniformly — so the
 // add/query/drop cycle of every analyze-string() call and every MVCC
 // commit costs this engine zero O(N log N) index rebuilds;
-// index_rebuild_count() (1 per engine unless the document is edited
-// in place via the legacy mutable_goddag() path between queries) is the
-// proof, surfaced as a benchmark counter in bench_paper_queries.cc.
+// index_rebuild_count() (1 per engine over a Build()-produced document, 0
+// over a mapped one) is the proof, surfaced as a benchmark counter in
+// bench_paper_queries.cc.
 //
 // Concurrency contract. Two independent levels:
 //
@@ -83,10 +83,9 @@
 // nodes of *different* overlays fall back to overlay id allocation order,
 // which concurrent leasing does not pin to binding order.
 //
-// Mutating the document directly (mutable_goddag()) while any query runs
-// remains undefined behaviour, as does moving the document. Mutating it
-// through MultihierarchicalDocument::Writer is always safe: evaluations on
-// the old version finish on the old version.
+// Moving the document while any query runs remains undefined behaviour.
+// Mutating it through MultihierarchicalDocument::Writer is always safe:
+// evaluations on the old version finish on the old version.
 
 #ifndef MHX_XQUERY_ENGINE_H_
 #define MHX_XQUERY_ENGINE_H_
@@ -135,12 +134,6 @@ struct QueryOptions {
   // modes pin one strategy everywhere. Every mode returns byte-identical
   // results — the batteries in parallel_query_test hold them to it.
   PlanMode plan_mode = PlanMode::kAuto;
-  // Deprecated alias of plan_mode = kForceSort, kept so existing callers
-  // and tests compile unchanged: normalised on entry (true wins over
-  // whatever plan_mode says). Re-sorts + dedups after every path step, as
-  // the engine did before ordering guarantees existed — the brute-force
-  // baseline the guarantee-driven merge and the planner are compared to.
-  bool force_step_sort = false;
   // When set, the evaluation records stage spans (plan lookup, index
   // materialisation, evaluation, serialisation) and — for parallel loops —
   // per-slot spans with steal attribution into this trace. The trace must
@@ -316,8 +309,7 @@ class Engine {
   // snapshot version it has pinned — stays at one no matter how many
   // analyze-string() overlay cycles have run and no matter how many MVCC
   // commits it repins across (writer-prebuilt indexes cost readers
-  // nothing; only a legacy mutable_goddag() edit between queries adds
-  // one). Thread-safe.
+  // nothing). Monotonic. Thread-safe.
   size_t index_rebuild_count() const;
 
   // Temporary virtual hierarchies currently kept alive by
@@ -444,9 +436,9 @@ class Engine {
   // Guarded by cache_mu_; superseded entries drop here but survive in the
   // shared_ptrs evaluations hold.
   std::shared_ptr<const SnapshotAxes> axes_entry_;
-  // index_rebuild_count() contributions of entries axes_entry_ has already
-  // dropped. Guarded by cache_mu_.
-  size_t retired_rebuilds_ = 0;
+  // Index builds PinAxes() performed (index_rebuild_count()). Guarded by
+  // cache_mu_.
+  size_t index_rebuilds_ = 0;
   // Id blocks for every overlay any evaluation of this engine creates —
   // one namespace, so kept hierarchies and evaluation-private ones never
   // collide inside a view. Shared with the overlays themselves so a
@@ -464,7 +456,7 @@ class Engine {
   // growing pool_.
   std::shared_ptr<base::ThreadPool> shared_pool_;
 
-  // Guards pool_ creation, axes_entry_, and retired_rebuilds_. mutable so
+  // Guards pool_ creation, axes_entry_, and index_rebuilds_. mutable so
   // const accessors (index_rebuild_count) can take it.
   mutable std::mutex cache_mu_;
   std::unique_ptr<base::ThreadPool> pool_;
@@ -473,9 +465,6 @@ class Engine {
   std::vector<std::unique_ptr<base::ThreadPool>> retired_pools_;
   // Never null (private instance when none injected); see EngineCounters.
   std::shared_ptr<EngineCounters> counters_;
-  // AxisEvaluator rebuilds already folded into counters_->index_rebuilds;
-  // PinAxes() adds the delta under cache_mu_.
-  size_t reported_rebuilds_ = 0;
 };
 
 }  // namespace mhx::xquery

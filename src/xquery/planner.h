@@ -53,8 +53,8 @@ enum class PlanMode {
   kAuto,          // planner-chosen per step (the default)
   kForceNaive,    // every extended-axis step scans; no pushdown
   kForceIndexed,  // every extended-axis step probes the index; no pushdown
-  kForceSort,     // legacy brute force: indexed, plus re-sort+dedup after
-                  // every step (the old force_step_sort)
+  kForceSort,     // brute force: indexed, plus re-sort+dedup after every
+                  // step
 };
 
 std::string_view PlanModeName(PlanMode mode);

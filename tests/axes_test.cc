@@ -168,7 +168,7 @@ TEST(EditionAxesTest, NaiveAndIndexedAgreeOnGeneratedEdition) {
   config.restoration_coverage = 0.2;
   auto doc = workload::BuildEditionDocument(config);
   ASSERT_TRUE(doc.ok()) << doc.status();
-  KyGoddag* kg = doc->mutable_goddag();
+  std::unique_ptr<KyGoddag> kg = doc->PinSnapshot()->goddag().Clone();
   // Layer a virtual hierarchy on top so recycled node ids are exercised too.
   auto h = kg->AddVirtualHierarchy(
       "match", {goddag::VirtualElement{"m", TextRange(10, 60), {}},
@@ -184,8 +184,10 @@ TEST(EditionAxesTest, NaiveAndIndexedAgreeOnGeneratedEdition) {
 TEST(EditionAxesTest, EvaluatorRebuildsIndexAfterMutation) {
   auto doc = workload::BuildPaperDocument();
   ASSERT_TRUE(doc.ok());
-  KyGoddag* kg = doc->mutable_goddag();
-  AxisEvaluator axes(kg, AxisOptions{/*use_index=*/true});
+  // A bare goddag mutated under a live evaluator: the one case the
+  // evaluator's private, revision-checked index exists for.
+  std::unique_ptr<KyGoddag> kg = doc->PinSnapshot()->goddag().Clone();
+  AxisEvaluator axes(kg.get(), AxisOptions{/*use_index=*/true});
   NodeId word = FindElement(*kg, 1, "w", "unawendendne");
   size_t before = axes.EvaluateAxisOnly(word, Axis::kXAncestor).size();
   auto h = kg->AddVirtualHierarchy(

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -517,7 +518,100 @@ TEST(ConcurrencyStressTest, EvictionVsPinnedMappedSnapshotRace) {
   EXPECT_GT(service.stats().mmap_loads, 0u);
   EXPECT_EQ(service.stats().load_fallbacks, 0u);
 }
+
+// Corpus write durability under eviction: a capacity-1 corpus with spill
+// on, where reader threads keep evicting and re-admitting `ed0` (from its
+// spilled arena) while the main thread alternately commits and removes a
+// virtual hierarchy on it. An acknowledged write must never be lost: a
+// re-admission racing a commit has to load the committed arena, not the
+// one before it — otherwise the next RemoveVirtualHierarchy is NotFound.
+// Readers stick to one document each; a reader alternating between both
+// would starve behind the commits and stop the churn this test needs, so
+// the mmap_loads floor proves re-admissions really raced the writes. The
+// TSan CI lane re-runs this standalone with MHX_STRESS_ITERS bumped.
+TEST(ConcurrencyStressTest, CorpusWriteSurvivesConcurrentEviction) {
+  char dir_template[] = "/tmp/mhx_stress_write.XXXXXX";
+  char* dir = mkdtemp(dir_template);
+  ASSERT_NE(dir, nullptr);
+  corpus::CorpusOptions options;
+  options.capacity = 1;
+  options.pool_threads = 0;
+  options.spill_dir = dir;
+  corpus::CorpusService service(options);
+  for (int d = 0; d < 2; ++d) {
+    workload::EditionConfig config;
+    config.seed = 91 + d;
+    config.word_count = 60;
+    ASSERT_TRUE(service.Register("ed" + std::to_string(d), config).ok());
+    ASSERT_TRUE(service.Pin("ed" + std::to_string(d)).ok());
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    const std::string name = t == 0 ? "ed1" : "ed0";
+    readers.emplace_back([&, name] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        if (!service.Pin(name).ok()) ++failures;
+      }
+    });
+  }
+  const int writes = StressIters(400);
+  int lost = 0;
+  for (int i = 0; i < writes; ++i) {
+    StatusOr<uint64_t> version =
+        i % 2 == 0
+            ? service.CommitVirtualHierarchy(
+                  "ed0", "note",
+                  {goddag::VirtualElement{"n", TextRange(2, 9), {}}})
+            : service.RemoveVirtualHierarchy("ed0", "note");
+    if (!version.ok()) ++lost;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(lost, 0);
+  EXPECT_EQ(failures.load(), 0);
+  // An even number of writes leaves no note behind on the resident edition.
+  auto notes = service.Query("ed0", "count(/descendant::n)");
+  ASSERT_TRUE(notes.ok()) << notes.status();
+  EXPECT_EQ(*notes, "0");
+  EXPECT_GE(service.stats().mmap_loads, static_cast<size_t>(writes / 4));
+  EXPECT_EQ(service.stats().load_fallbacks, 0u);
+  std::filesystem::remove_all(dir);
+}
 #endif  // defined(__unix__) || defined(__APPLE__)
+
+// base_text() is documented safe without pinning: one thread reads it in
+// a loop while commits publish successor versions. Every version shares
+// the same refcounted text, so each read must see it unchanged — and TSan
+// must see no unsynchronised access to the document's version pointer.
+TEST(ConcurrencyStressTest, BaseTextReadDuringCommitsRace) {
+  auto built = workload::BuildPaperDocument();
+  ASSERT_TRUE(built.ok()) << built.status();
+  MultihierarchicalDocument doc = std::move(built).value();
+  const std::string expected = doc.base_text();
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (doc.base_text() != expected) ++failures;
+    }
+  });
+  for (int i = 0; i < StressIters(50); ++i) {
+    auto writer = doc.NewWriter();
+    if (i % 2 == 0) {
+      writer.AddVirtualHierarchy(
+          "damage", {goddag::VirtualElement{"gap", TextRange(4, 9), {}}});
+    } else {
+      writer.RemoveVirtualHierarchy("damage");
+    }
+    if (!writer.Commit().ok()) ++failures;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+  EXPECT_EQ(failures.load(), 0);
+}
 
 // Observability under churn: a threshold-0 corpus (every query lands in
 // the slow-query ring) serves traced fan-out queries and untraced queries

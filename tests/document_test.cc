@@ -62,7 +62,6 @@ TEST(DocumentTest, MoveKeepsGoddagAndEngineStable) {
   xquery::Engine* engine_before = built->engine();
   MultihierarchicalDocument doc(std::move(built).value());
   EXPECT_EQ(&doc.goddag(), goddag_before);
-  EXPECT_EQ(doc.mutable_goddag(), goddag_before);
   EXPECT_EQ(doc.engine(), engine_before);
   EXPECT_EQ(doc.engine()->document(), &doc);
 }

@@ -6,7 +6,7 @@
 //  * IsParallelSafe classifies side-effecting subtrees correctly;
 //  * concurrent doc->Query() calls on one document are safe;
 //  * the guarantee-driven step merge equals brute-force sort+dedup
-//    (QueryOptions::force_step_sort) for every axis;
+//    (PlanMode::kForceSort) for every axis;
 //  * every plan mode (kAuto / kForceNaive / kForceIndexed) is
 //    byte-identical to the kForceSort brute force across the axis battery
 //    and the Section 4 queries, at threads {1, 4, 8} — plans move cost,
@@ -455,7 +455,7 @@ constexpr const char* kAxisBatteryQueries[] = {
 // sort+dedup.
 TEST_F(ParallelQueryTest, GuaranteeDrivenMergeMatchesBruteForcePerAxis) {
   QueryOptions brute;
-  brute.force_step_sort = true;
+  brute.plan_mode = PlanMode::kForceSort;
   for (const char* query : kAxisBatteryQueries) {
     EXPECT_EQ(MustQuery(*edition_, query, QueryOptions()),
               MustQuery(*edition_, query, brute))
@@ -469,7 +469,7 @@ TEST_F(ParallelQueryTest, GuaranteeDrivenMergeMatchesBruteForcePerAxis) {
 // allowed to move cost, never results.
 TEST_F(ParallelQueryTest, PlanModesByteIdenticalAcrossAxesAndThreads) {
   QueryOptions brute;
-  brute.force_step_sort = true;
+  brute.plan_mode = PlanMode::kForceSort;
   const PlanMode modes[] = {PlanMode::kAuto, PlanMode::kForceNaive,
                             PlanMode::kForceIndexed};
   for (const char* query : kAxisBatteryQueries) {
@@ -493,7 +493,7 @@ TEST_F(ParallelQueryTest, Section4QueriesPlanModeInvariantAcrossThreads) {
   const char* queries[] = {workload::kQueryI1, workload::kQueryI2,
                            workload::kQueryII1, workload::kQueryIII1Intent};
   QueryOptions brute;
-  brute.force_step_sort = true;
+  brute.plan_mode = PlanMode::kForceSort;
   for (const char* query : queries) {
     const std::string baseline = MustQuery(*paper_, query, brute);
     for (PlanMode mode :
@@ -519,7 +519,7 @@ TEST_F(ParallelQueryTest, LeafScanSkipsSorts) {
 
 TEST_F(ParallelQueryTest, ForceStepSortSkipsNothing) {
   QueryOptions brute;
-  brute.force_step_sort = true;
+  brute.plan_mode = PlanMode::kForceSort;
   // Prime the cache so the measured evaluation is the only variable.
   ASSERT_TRUE(edition_->Query("/descendant::s/descendant::w", brute).ok());
   const size_t before = edition_->engine()->sorts_skipped();

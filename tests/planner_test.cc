@@ -418,7 +418,7 @@ TEST(PlannerTest, PlanModesAreByteIdenticalAndCountersMove) {
       "overlapping::dmg] return <m>{$w/xfollowing::line[1]}</m>";
 
   QueryOptions brute;
-  brute.force_step_sort = true;
+  brute.plan_mode = xquery::PlanMode::kForceSort;
   auto baseline = doc.Query(kQuery, brute);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
 

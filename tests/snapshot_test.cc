@@ -337,13 +337,6 @@ TEST(SnapshotTest, CommitsDoNotRebuildTheIndexForReaders) {
     ASSERT_TRUE(doc->Query(workload::kQueryI1).ok());
   }
   EXPECT_EQ(doc->engine()->index_rebuild_count(), 1u);
-  // The legacy escape hatch still pays, once, as ever.
-  ASSERT_TRUE(doc->mutable_goddag()
-                  ->AddVirtualHierarchy(
-                      "legacy", {VirtualElement{"m", TextRange(1, 4), {}}})
-                  .ok());
-  ASSERT_TRUE(doc->Query(workload::kQueryI1).ok());
-  EXPECT_EQ(doc->engine()->index_rebuild_count(), 2u);
 }
 
 TEST(SnapshotTest, RemoveVirtualHierarchyPicksHighestSlotAndErrsOnMissing) {

@@ -243,38 +243,39 @@ TEST_F(XQueryEngineTest, AnalyzeStringCyclesNeverRebuildTheIndex) {
   EXPECT_EQ(engine->temporary_hierarchy_count(), 0u);
 }
 
-TEST_F(XQueryEngineTest, ExternalMutationsRebuildTheIndexOnce) {
+TEST_F(XQueryEngineTest, CommittedHierarchiesAreVisibleWithoutRebuilding) {
   Engine* engine = doc_->engine();
   EXPECT_EQ(Query("count(/descendant::w[xancestor::note])"), "0");
   const size_t builds = engine->index_rebuild_count();
-  // Mutate the document directly — the one thing that can invalidate the
-  // base index (overlay temporaries never do).
-  auto hid = doc_->mutable_goddag()->AddVirtualHierarchy(
+  // Commit a new hierarchy through the Writer: the next evaluation must
+  // see it on extended axes, on the index the writer prebuilt.
+  auto writer = doc_->NewWriter();
+  writer.AddVirtualHierarchy(
       "notes", {goddag::VirtualElement{"note", TextRange(9, 21), {}}});
-  ASSERT_TRUE(hid.ok()) << hid.status();
-  // The next evaluation must see the new hierarchy on extended axes (one
-  // snapshot rebuild), then stay stable.
+  ASSERT_TRUE(writer.Commit().ok());
   EXPECT_EQ(Query("count(/descendant::w[xancestor::note])"), "1");
-  EXPECT_EQ(engine->index_rebuild_count(), builds + 1);
   EXPECT_EQ(Query("count(/descendant::w[xancestor::note])"), "1");
-  EXPECT_EQ(engine->index_rebuild_count(), builds + 1);
-  ASSERT_TRUE(doc_->mutable_goddag()->RemoveVirtualHierarchy(*hid).ok());
+  EXPECT_EQ(engine->index_rebuild_count(), builds);
+  auto remover = doc_->NewWriter();
+  remover.RemoveVirtualHierarchy("notes");
+  ASSERT_TRUE(remover.Commit().ok());
   EXPECT_EQ(Query("count(/descendant::w[xancestor::note])"), "0");
 }
 
 TEST_F(XQueryEngineTest, TemporariesNeverServeStaleIndexEntries) {
   Engine* engine = doc_->engine();
-  // Keep temporaries over "unawendendne", then mutate the document
-  // directly so the base index rebuilds while they are alive. Overlay
-  // nodes must stay out of the rebuilt index (they are scanned, never
-  // indexed), yet remain visible on extended axes.
+  // Keep temporaries over "unawendendne", then commit a new version so
+  // later evaluations read a freshly indexed snapshot while they are
+  // alive. Overlay nodes must stay out of that index (they are scanned,
+  // never indexed), yet remain visible on extended axes.
   auto kept = engine->EvaluateKeepingTemporaries(
       "analyze-string(/descendant::w[string(.) = 'unawendendne'],"
       " \".*un<a>a</a>we.*\")");
   ASSERT_TRUE(kept.ok()) << kept.status();
-  auto hid = doc_->mutable_goddag()->AddVirtualHierarchy(
+  auto writer = doc_->NewWriter();
+  writer.AddVirtualHierarchy(
       "notes", {goddag::VirtualElement{"note", TextRange(0, 5), {}}});
-  ASSERT_TRUE(hid.ok()) << hid.status();
+  ASSERT_TRUE(writer.Commit().ok());
   EXPECT_EQ(Query("count(/descendant::w[string(.) = 'unawendendne']"
                   "/xdescendant::a)"),
             "1");

@@ -149,8 +149,8 @@ int RunPersist() {
 
   auto mapped = mhx::goddag::LoadSnapshotFile(arena_path);
   Check(mapped.ok(), "mmap-load the edition arena");
-  auto loaded = mhx::MultihierarchicalDocument::FromSnapshot(
-      std::move(mapped->head), std::move(mapped->snapshot));
+  auto loaded =
+      mhx::MultihierarchicalDocument::FromSnapshot(std::move(mapped->snapshot));
 
   // Byte-identity battery: every plan mode, serial and fanned out, the
   // traced I.2 shape plus extended-axis queries.
